@@ -10,8 +10,8 @@ use std::sync::Arc;
 use cij_bench::runner::{build_pair_trees, build_pair_trees_with, fresh_pool, tree_config};
 use cij_geom::{MovingRect, Rect};
 use cij_join::{
-    improved_join, improved_join_into, naive_join, ps_intersection, ps_intersection_soa,
-    techniques, JoinCounters, JoinScratch, SweepItem, SweepSoa,
+    improved_join, improved_join_into, naive_join, ps_intersection, techniques, JoinCounters,
+    JoinScratch, SweepSoa,
 };
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_workload::Params;
@@ -88,24 +88,8 @@ fn bench_plane_sweep(c: &mut Criterion) {
             black_box(out)
         })
     });
+    // Sweep buffers persist across iterations, as inside the joins.
     group.bench_function("plane_sweep_30x30", |b| {
-        b.iter(|| {
-            let mut sa: Vec<SweepItem> = ra
-                .iter()
-                .enumerate()
-                .map(|(i, m)| SweepItem::new(*m, i, 0, 0.0, 60.0))
-                .collect();
-            let mut sb: Vec<SweepItem> = rb
-                .iter()
-                .enumerate()
-                .map(|(i, m)| SweepItem::new(*m, i, 0, 0.0, 60.0))
-                .collect();
-            let mut counters = JoinCounters::new();
-            black_box(ps_intersection(&mut sa, &mut sb, 0.0, 60.0, &mut counters))
-        })
-    });
-    // The allocation-free SoA twin: buffers persist across iterations.
-    group.bench_function("plane_sweep_soa_30x30", |b| {
         let mut sa = SweepSoa::new();
         let mut sb = SweepSoa::new();
         let mut out = Vec::new();
@@ -119,7 +103,7 @@ fn bench_plane_sweep(c: &mut Criterion) {
                 sb.push(*m, i as u32, 0, 0.0, 60.0);
             }
             let mut counters = JoinCounters::new();
-            ps_intersection_soa(&mut sa, &mut sb, 0.0, 60.0, &mut counters, &mut out);
+            ps_intersection(&mut sa, &mut sb, 0.0, 60.0, &mut counters, &mut out);
             black_box(out.len())
         })
     });

@@ -87,22 +87,13 @@ struct MicroResult {
     pairs: usize,
     uncached_ns: f64,
     cached_ns: f64,
-    /// Uncached warm join over a tree written in the legacy v1 (AoS)
-    /// page encoding — every read pays the decode fallback. The
-    /// `legacy_ns / uncached_ns` ratio is the zero-copy page format's
-    /// isolated contribution.
-    legacy_ns: f64,
     speedup: f64,
-    zero_copy_speedup: f64,
     /// `None` when the cache-on trees saw no reads (degenerate run) —
     /// serialized as JSON `null`, never a fabricated 0.0.
     cache_hit_rate: Option<f64>,
     /// Cache-off page reads served straight from the v2 SoA view — no
-    /// intermediate `Node`. The pair of counters proves which decode
-    /// path the uncached measurement actually took.
+    /// intermediate `Node`.
     zero_copy_reads: u64,
-    /// Cache-off page reads that fell back to the legacy v1 decoder.
-    decode_fallbacks: u64,
 }
 
 /// Repeated warm `improved_join` with the cache off vs on.
@@ -151,12 +142,6 @@ fn micro(smoke: bool) -> TprResult<MicroResult> {
         format.zero_copy_reads > 0,
         "cache-off micro must exercise the zero-copy page path"
     );
-    let (legacy_ns, legacy_pairs, _, legacy_format) = run(base.with_legacy_pages(true))?;
-    assert_eq!(pairs, legacy_pairs, "page encoding changed the join answer");
-    assert!(
-        legacy_format.zero_copy_reads == 0 && legacy_format.decode_fallbacks > 0,
-        "legacy run must decode every page through the fallback"
-    );
     let (cached_ns, cached_pairs, hit_rate, _) = run(base.with_node_cache(NODE_CACHE))?;
     assert_eq!(pairs, cached_pairs, "cache changed the join answer");
 
@@ -167,12 +152,9 @@ fn micro(smoke: bool) -> TprResult<MicroResult> {
         pairs,
         uncached_ns,
         cached_ns,
-        legacy_ns,
         speedup: uncached_ns / cached_ns,
-        zero_copy_speedup: legacy_ns / uncached_ns,
         cache_hit_rate: hit_rate,
         zero_copy_reads: format.zero_copy_reads,
-        decode_fallbacks: format.decode_fallbacks,
     })
 }
 
@@ -327,24 +309,13 @@ fn main() {
         "    \"cached_ns_per_join\": {},",
         json_num(micro.cached_ns)
     );
-    let _ = writeln!(
-        json,
-        "    \"legacy_uncached_ns_per_join\": {},",
-        json_num(micro.legacy_ns)
-    );
     let _ = writeln!(json, "    \"speedup\": {},", json_num(micro.speedup));
-    let _ = writeln!(
-        json,
-        "    \"zero_copy_speedup\": {},",
-        json_num(micro.zero_copy_speedup)
-    );
     let _ = writeln!(
         json,
         "    \"cache_hit_rate\": {},",
         json_opt(micro.cache_hit_rate)
     );
-    let _ = writeln!(json, "    \"zero_copy_reads\": {},", micro.zero_copy_reads);
-    let _ = writeln!(json, "    \"decode_fallbacks\": {}", micro.decode_fallbacks);
+    let _ = writeln!(json, "    \"zero_copy_reads\": {}", micro.zero_copy_reads);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"engines\": [");
     for (i, e) in engines.iter().enumerate() {
@@ -368,10 +339,8 @@ fn main() {
     let prom_out = format!("{}.prom", opts.out.trim_end_matches(".json"));
     std::fs::write(&prom_out, &exposition).expect("write prometheus exposition");
     println!(
-        "join micro: legacy-pages {:.0} ns, zero-copy {:.0} ns ({:.2}x), cached {:.0} ns (residual {:.2}x, hit rate {})",
-        micro.legacy_ns,
+        "join micro: zero-copy {:.0} ns, cached {:.0} ns (residual {:.2}x, hit rate {})",
         micro.uncached_ns,
-        micro.zero_copy_speedup,
         micro.cached_ns,
         micro.speedup,
         micro
@@ -379,8 +348,8 @@ fn main() {
             .map_or_else(|| "n/a".to_string(), |h| format!("{:.1}%", h * 100.0)),
     );
     println!(
-        "join micro cache-off page reads: {} zero-copy, {} legacy-decode fallbacks",
-        micro.zero_copy_reads, micro.decode_fallbacks,
+        "join micro cache-off page reads: {} zero-copy",
+        micro.zero_copy_reads,
     );
     for e in &engines {
         println!(

@@ -307,8 +307,8 @@ pub trait ContinuousJoinEngine {
         None
     }
 
-    /// Aggregate page-format counters (zero-copy SoA reads vs legacy
-    /// decode fallbacks) across the engine's TPR-trees. Unlike
+    /// Aggregate page-format counters (zero-copy SoA reads) across the
+    /// engine's TPR-trees. Unlike
     /// [`node_cache_snapshot`](Self::node_cache_snapshot) these are
     /// tracked whether or not a node cache runs; `None` for engines whose
     /// indexes are not TPR-trees (Bˣ).
@@ -375,9 +375,6 @@ pub fn publish_engine_totals(
         registry
             .counter("storage.page.zero_copy_reads")
             .store(p.zero_copy_reads);
-        registry
-            .counter("storage.page.decode_fallbacks")
-            .store(p.decode_fallbacks);
     }
 }
 

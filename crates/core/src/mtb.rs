@@ -130,8 +130,8 @@ impl MtbTree {
             .reduce(|acc, s| acc.merged(&s))
     }
 
-    /// Page-format counters (zero-copy SoA reads / legacy decode
-    /// fallbacks) summed over every live bucket tree; tracked regardless
+    /// Page-format counters (zero-copy SoA reads) summed over every
+    /// live bucket tree; tracked regardless
     /// of cache configuration.
     #[must_use]
     pub fn page_format_stats(&self) -> cij_storage::CacheSnapshot {

@@ -27,7 +27,7 @@ use crate::counters::JoinCounters;
 use crate::pair::JoinPair;
 use crate::parallel::{SpillSink, NO_SPILL_BUDGET};
 use crate::scratch::{Frame, JoinScratch};
-use crate::sweep::ps_intersection_soa;
+use crate::sweep::ps_intersection;
 
 /// Toggle set for the §IV-D improvement techniques.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -391,7 +391,7 @@ fn join_aligned(
                 win.end,
             );
         }
-        ps_intersection_soa(
+        ps_intersection(
             &mut frame.sweep_a,
             &mut frame.sweep_b,
             win.start,
@@ -595,7 +595,7 @@ fn join_leaf_lanes(
             f.sweep_b
                 .fill_all_from_lanes(&f.lanes_b, dim, win.start, win.end);
         }
-        ps_intersection_soa(
+        ps_intersection(
             &mut f.sweep_a,
             &mut f.sweep_b,
             win.start,

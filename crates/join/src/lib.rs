@@ -38,8 +38,6 @@
 pub mod brute;
 mod counters;
 mod improved;
-#[cfg(feature = "simd")]
-mod kernel;
 mod naive;
 mod pair;
 mod parallel;
@@ -58,5 +56,5 @@ pub use parallel::{
 };
 pub use partition::{partition_join, partition_join_auto, swept_region};
 pub use scratch::JoinScratch;
-pub use sweep::{ps_intersection, ps_intersection_soa, SweepItem, SweepSoa};
+pub use sweep::{ps_intersection, SweepSoa};
 pub use tp::{tp_join, tp_join_best_first, tp_object_probe, TpAnswer, TpProbe};

@@ -26,7 +26,7 @@ use cij_tpr::ObjectId;
 
 use crate::counters::JoinCounters;
 use crate::pair::JoinPair;
-use crate::sweep::{ps_intersection, SweepItem};
+use crate::sweep::{ps_intersection, SweepSoa};
 
 /// The static rectangle swept by a moving rectangle over `[t_s, t_e]`.
 #[must_use]
@@ -152,7 +152,10 @@ pub fn partition_join(
         }
     }
 
-    // Per-cell moving plane sweep, reference-point de-duplication.
+    // Per-cell moving plane sweep, reference-point de-duplication. The
+    // sweep buffers are refilled per cell, keeping their capacity.
+    let (mut items_a, mut items_b) = (SweepSoa::new(), SweepSoa::new());
+    let mut swept = Vec::new();
     for cy in 0..cells_per_axis {
         for cx in 0..cells_per_axis {
             let cell_id = grid.id(cx, cy);
@@ -160,15 +163,24 @@ pub fn partition_join(
             if ia.is_empty() || ib.is_empty() {
                 continue;
             }
-            let mut items_a: Vec<SweepItem> = ia
-                .iter()
-                .map(|&i| SweepItem::new(a[i].1, i, 0, t_s, t_e))
-                .collect();
-            let mut items_b: Vec<SweepItem> = ib
-                .iter()
-                .map(|&i| SweepItem::new(b[i].1, i, 0, t_s, t_e))
-                .collect();
-            for (i, j, iv) in ps_intersection(&mut items_a, &mut items_b, t_s, t_e, &mut counters) {
+            items_a.clear();
+            for &i in ia {
+                items_a.push(a[i].1, sweep_index(i), 0, t_s, t_e);
+            }
+            items_b.clear();
+            for &i in ib {
+                items_b.push(b[i].1, sweep_index(i), 0, t_s, t_e);
+            }
+            ps_intersection(
+                &mut items_a,
+                &mut items_b,
+                t_s,
+                t_e,
+                &mut counters,
+                &mut swept,
+            );
+            for &(i, j, iv) in &swept {
+                let (i, j) = (i as usize, j as usize);
                 // Reference point: lower-left corner of the overlap of
                 // the two swept regions — it lies in exactly one cell.
                 let o = sweep_a[i]
@@ -182,6 +194,11 @@ pub fn partition_join(
         }
     }
     (out, counters)
+}
+
+/// An input position as a sweep index.
+fn sweep_index(i: usize) -> u32 {
+    u32::try_from(i).expect("PBSM input larger than u32::MAX objects")
 }
 
 /// [`partition_join`] with an automatic grid granularity: aims for ~64

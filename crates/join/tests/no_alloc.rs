@@ -5,31 +5,58 @@
 //! decoded-node cache must perform **zero** heap allocations: node reads
 //! are `Arc` clones out of the cache, traversal temporaries come from the
 //! reused [`JoinScratch`] frames, and the output vector retains its
-//! capacity. This pins the PR's two structural claims — no
-//! per-visit `Vec::new()` (the old `improved.rs` spill temporary) and no
-//! per-node `SweepItem` array builds.
+//! capacity. The plane sweep's [`SweepSoa`] buffers are held to the same
+//! bar on their own.
+//!
+//! The count is per thread and armed only inside the measured region
+//! ([`count_allocs`]), so tests running in parallel on other threads
+//! never leak their allocations into each other's measurements.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use cij_geom::{MovingRect, Rect};
 use cij_join::{
     improved_join, improved_join_into, ps_intersection, techniques, JoinCounters, JoinScratch,
-    SweepItem,
+    SweepSoa,
 };
 use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore};
 use cij_tpr::{ObjectId, TprTree, TreeConfig};
 
-/// Counts every allocation (alloc / realloc / alloc_zeroed). Deallocs
-/// are not counted — freeing retained buffers is not a regression.
+/// Counts every allocation (alloc / realloc / alloc_zeroed) made by the
+/// current thread while armed. Deallocs are not counted — freeing
+/// retained buffers is not a regression.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn note_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+/// Runs `f` with this thread's counter armed; returns its result and the
+/// number of allocations it made.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let result = f();
+    ARMED.with(|a| a.set(false));
+    (result, ALLOCATIONS.with(Cell::get))
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments,
+// so `System` upholds the `GlobalAlloc` contract; the counting touches
+// only const-initialised thread-locals, which never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -38,12 +65,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc_zeroed(layout)
     }
 }
@@ -95,14 +122,12 @@ fn warm_improved_join_performs_zero_allocations() {
     let warm_pairs = out.clone();
 
     for round in 0..3 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let counters =
+        let (counters, allocations) = count_allocs(|| {
             improved_join_into(&ta, &tb, 0.0, 60.0, techniques::ALL, &mut scratch, &mut out)
-                .expect("steady-state join");
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+                .expect("steady-state join")
+        });
         assert_eq!(
-            after - before,
-            0,
+            allocations, 0,
             "steady-state improved_join_into allocated (round {round})"
         );
         assert_eq!(counters, warm, "counters changed between identical runs");
@@ -124,44 +149,46 @@ fn every_technique_combination_is_allocation_free_when_warm() {
         let mut scratch = JoinScratch::new();
         let mut out = Vec::new();
         improved_join_into(&ta, &tb, 0.0, 60.0, tech, &mut scratch, &mut out).expect("warm-up");
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        improved_join_into(&ta, &tb, 0.0, 60.0, tech, &mut scratch, &mut out).expect("steady");
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert_eq!(after - before, 0, "technique set {tech:?} allocated");
+        let (_, allocations) = count_allocs(|| {
+            improved_join_into(&ta, &tb, 0.0, 60.0, tech, &mut scratch, &mut out).expect("steady")
+        });
+        assert_eq!(allocations, 0, "technique set {tech:?} allocated");
     }
 }
 
-/// Pins the `sort_unstable_by` in [`ps_intersection`]: sorting the sweep
-/// inputs must not allocate (the old stable `sort_by` grabbed an `n/2`
-/// merge-scratch buffer for slices above the insertion-sort threshold).
-/// The inputs are far apart, so the sweep emits nothing and the
-/// zero-capacity output `Vec` never allocates either.
+/// Pins [`ps_intersection`] at steady state: once the [`SweepSoa`]
+/// buffers and the output vector have grown, refilling both sides and
+/// sweeping again allocates nothing — the permutation sort gathers
+/// through retained buffers instead of grabbing merge scratch.
 #[test]
-fn aos_sweep_sort_does_not_allocate() {
-    // 96 items, well above any insertion-sort cutoff, in scrambled lb
-    // order so the sort does real work.
-    let make_side = |offset: f64| -> Vec<SweepItem> {
-        (0..96u64)
-            .map(|i| {
-                let x = offset + ((i * 61) % 96) as f64 * 10_000.0;
-                let m = MovingRect::rigid(Rect::new([x, 0.0], [x + 1.0, 1.0]), [0.0, 0.0], 0.0);
-                SweepItem::new(m, i as usize, 0, 0.0, 60.0)
-            })
-            .collect()
+fn warm_sweep_does_not_allocate() {
+    // 96 items per side, well above any insertion-sort cutoff, in
+    // scrambled lb order so the sort does real work; each `a` overlaps
+    // exactly one `b`.
+    let fill = |side: &mut SweepSoa, offset: f64| {
+        side.clear();
+        for i in 0..96u32 {
+            let x = offset + f64::from((i * 61) % 96) * 10_000.0;
+            let m = MovingRect::rigid(Rect::new([x, 0.0], [x + 10.0, 1.0]), [0.0, 0.0], 0.0);
+            side.push(m, i, 0, 0.0, 60.0);
+        }
     };
-    let mut sa = make_side(0.0);
-    let mut sb = make_side(2_000_000.0);
+    let (mut sa, mut sb) = (SweepSoa::new(), SweepSoa::new());
     let mut counters = JoinCounters::new();
+    let mut out = Vec::new();
+    fill(&mut sa, 0.0);
+    fill(&mut sb, 5.0);
+    ps_intersection(&mut sa, &mut sb, 0.0, 60.0, &mut counters, &mut out);
+    assert_eq!(out.len(), 96, "workload must pair every a with one b");
+    let warm = out.clone();
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let pairs = ps_intersection(&mut sa, &mut sb, 0.0, 60.0, &mut counters);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-    assert!(pairs.is_empty(), "workload must stay pair-free");
-    assert_eq!(after - before, 0, "ps_intersection sort allocated");
-    // The sides interleave in lb order, so the sweep really ran.
-    assert!(sa.windows(2).all(|w| w[0].lb <= w[1].lb), "sa not sorted");
-    assert!(sb.windows(2).all(|w| w[0].lb <= w[1].lb), "sb not sorted");
+    let (_, allocations) = count_allocs(|| {
+        fill(&mut sa, 0.0);
+        fill(&mut sb, 5.0);
+        ps_intersection(&mut sa, &mut sb, 0.0, 60.0, &mut counters, &mut out);
+    });
+    assert_eq!(allocations, 0, "steady-state ps_intersection allocated");
+    assert_eq!(out, warm, "pairs changed between identical sweeps");
 }
 
 #[test]

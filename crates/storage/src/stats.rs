@@ -187,7 +187,6 @@ pub struct CacheStats {
     invalidations: Arc<CounterCell>,
     stale_rejections: Arc<CounterCell>,
     zero_copy_reads: Arc<CounterCell>,
-    decode_fallbacks: Arc<CounterCell>,
 }
 
 impl CacheStats {
@@ -241,13 +240,6 @@ impl CacheStats {
         self.zero_copy_reads.inc();
     }
 
-    /// Records a page that had to go through the legacy (v1, AoS)
-    /// field-by-field decode because it predates the SoA layout.
-    #[inline]
-    pub fn record_decode_fallback(&self) {
-        self.decode_fallbacks.inc();
-    }
-
     /// Captures the current counter values.
     #[must_use]
     pub fn snapshot(&self) -> CacheSnapshot {
@@ -259,7 +251,6 @@ impl CacheStats {
             invalidations: self.invalidations.get(),
             stale_rejections: self.stale_rejections.get(),
             zero_copy_reads: self.zero_copy_reads.get(),
-            decode_fallbacks: self.decode_fallbacks.get(),
         }
     }
 
@@ -272,7 +263,6 @@ impl CacheStats {
         self.invalidations.store(0);
         self.stale_rejections.store(0);
         self.zero_copy_reads.store(0);
-        self.decode_fallbacks.store(0);
     }
 
     /// Registers every counter in `registry` under `prefix` (e.g.
@@ -288,7 +278,6 @@ impl CacheStats {
             ("invalidations", &self.invalidations),
             ("stale_rejections", &self.stale_rejections),
             ("zero_copy_reads", &self.zero_copy_reads),
-            ("decode_fallbacks", &self.decode_fallbacks),
         ] {
             registry.register_counter_cell(&format!("{prefix}.{name}"), Arc::clone(cell));
         }
@@ -313,8 +302,6 @@ pub struct CacheSnapshot {
     pub stale_rejections: u64,
     /// Pages served through the zero-copy SoA view (no `Node` decode).
     pub zero_copy_reads: u64,
-    /// Legacy (v1, AoS) pages decoded through the compat path.
-    pub decode_fallbacks: u64,
 }
 
 impl CacheSnapshot {
@@ -343,9 +330,6 @@ impl CacheSnapshot {
                 .stale_rejections
                 .saturating_sub(earlier.stale_rejections),
             zero_copy_reads: self.zero_copy_reads.saturating_sub(earlier.zero_copy_reads),
-            decode_fallbacks: self
-                .decode_fallbacks
-                .saturating_sub(earlier.decode_fallbacks),
         }
     }
 
@@ -361,7 +345,6 @@ impl CacheSnapshot {
             invalidations: self.invalidations + other.invalidations,
             stale_rejections: self.stale_rejections + other.stale_rejections,
             zero_copy_reads: self.zero_copy_reads + other.zero_copy_reads,
-            decode_fallbacks: self.decode_fallbacks + other.decode_fallbacks,
         }
     }
 }
@@ -487,13 +470,11 @@ mod tests {
             invalidations: 5,
             stale_rejections: 6,
             zero_copy_reads: 7,
-            decode_fallbacks: 8,
         };
         let b = a.merged(&a);
         assert_eq!(b.hits, 2);
         assert_eq!(b.stale_rejections, 12);
         assert_eq!(b.zero_copy_reads, 14);
-        assert_eq!(b.decode_fallbacks, 16);
     }
 
     #[test]
@@ -501,20 +482,16 @@ mod tests {
         let s = CacheStats::new();
         s.record_zero_copy_read();
         s.record_zero_copy_read();
-        s.record_decode_fallback();
         let before = s.snapshot();
         assert_eq!(before.zero_copy_reads, 2);
-        assert_eq!(before.decode_fallbacks, 1);
         s.record_zero_copy_read();
         let delta = s.snapshot() - before;
         assert_eq!(delta.zero_copy_reads, 1);
-        assert_eq!(delta.decode_fallbacks, 0);
 
         let registry = MetricsRegistry::new();
         s.register_in(&registry, "storage.page");
         let snap = registry.snapshot();
         assert_eq!(snap.counter("storage.page.zero_copy_reads"), Some(3));
-        assert_eq!(snap.counter("storage.page.decode_fallbacks"), Some(1));
 
         s.reset();
         assert_eq!(s.snapshot(), CacheSnapshot::default());

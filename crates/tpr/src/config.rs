@@ -37,13 +37,6 @@ pub struct TreeConfig {
     /// physical I/O counts no longer follow the paper's methodology —
     /// mirrors the `threads: 1` precedent in `EngineConfig`).
     pub node_cache_capacity: usize,
-    /// Write nodes in the legacy v1 (AoS) page encoding instead of the
-    /// v2 SoA layout. Reads always accept both (the decoder dispatches
-    /// on the page magic), so this knob exists for migration testing and
-    /// for benchmarking the decode fallback — mixed-format trees are
-    /// fully supported, and any rewrite of a node under the default
-    /// setting upgrades its page to v2 in place.
-    pub legacy_pages: bool,
 }
 
 impl Default for TreeConfig {
@@ -56,7 +49,6 @@ impl Default for TreeConfig {
             forced_reinsert: true,
             integral_metrics: true,
             node_cache_capacity: 0,
-            legacy_pages: false,
         }
     }
 }
@@ -86,16 +78,6 @@ impl TreeConfig {
     pub fn with_node_cache(self, capacity: usize) -> Self {
         Self {
             node_cache_capacity: capacity,
-            ..self
-        }
-    }
-
-    /// The same configuration writing legacy v1 pages (see
-    /// [`TreeConfig::legacy_pages`]).
-    #[must_use]
-    pub fn with_legacy_pages(self, legacy: bool) -> Self {
-        Self {
-            legacy_pages: legacy,
             ..self
         }
     }

@@ -66,9 +66,9 @@ pub struct TprTree {
     height: u32,
     /// Number of data objects.
     len: usize,
-    /// Page-format counters: zero-copy SoA reads vs legacy decode
-    /// fallbacks. Only the two `storage.page.*` fields are ever non-zero
-    /// here; merged into [`Self::node_cache_stats`] when a cache exists.
+    /// Page-format counters: zero-copy SoA reads. Only the
+    /// `storage.page.*` field is ever non-zero here; merged into
+    /// [`Self::node_cache_stats`] when a cache exists.
     format_stats: CacheStats,
 }
 
@@ -171,40 +171,23 @@ impl TprTree {
         Ok(node)
     }
 
-    /// Decodes a page, counting whether the zero-copy SoA view or the
-    /// legacy v1 decoder served it. Behaviourally identical to
-    /// [`Node::from_page`].
+    /// Decodes a page through the zero-copy SoA view, counting the read.
+    /// Behaviourally identical to [`Node::from_page`].
     fn decode_page(&self, page: &[u8; PAGE_SIZE]) -> StorageResult<Node> {
-        match NodeView::parse(page)? {
-            Some(view) => {
-                self.format_stats.record_zero_copy_read();
-                Ok(view.to_node())
-            }
-            None => {
-                self.format_stats.record_decode_fallback();
-                Node::from_page_legacy(page)
-            }
-        }
+        let view = NodeView::parse(page)?;
+        self.format_stats.record_zero_copy_read();
+        Ok(view.to_node())
     }
 
     /// Reads a node's entries straight into SoA `lanes` without
-    /// materialising a [`Node`]. On a v2 page this is a zero-copy lane
-    /// copy (no per-entry decode, no `Vec<Entry>` allocation); legacy v1
-    /// pages fall back to a full decode. Counts one logical read exactly
-    /// like [`read_node`](Self::read_node) with the cache disabled.
+    /// materialising a [`Node`]: a zero-copy lane copy (no per-entry
+    /// decode, no `Vec<Entry>` allocation). Counts one logical read
+    /// exactly like [`read_node`](Self::read_node) with the cache disabled.
     pub fn read_node_lanes(&self, page: PageId, lanes: &mut EntryLanes) -> TprResult<()> {
         self.pool
             .read(page, |p| -> StorageResult<()> {
-                match NodeView::parse(p)? {
-                    Some(view) => {
-                        self.format_stats.record_zero_copy_read();
-                        lanes.fill_from_view(&view);
-                    }
-                    None => {
-                        self.format_stats.record_decode_fallback();
-                        lanes.fill_from_node(&Node::from_page_legacy(p)?);
-                    }
-                }
+                lanes.fill_from_view(&NodeView::parse(p)?);
+                self.format_stats.record_zero_copy_read();
                 Ok(())
             })
             .map_err(TprError::from)??;
@@ -239,11 +222,7 @@ impl TprTree {
     }
 
     fn write_node(&self, page: PageId, node: &Node) -> TprResult<()> {
-        let buf = if self.config.legacy_pages {
-            node.to_page_legacy()?
-        } else {
-            node.to_page()?
-        };
+        let buf = node.to_page()?;
         // Consistency rule: the cache learns of the new contents *before*
         // the page write lands, so no reader can decode the old bytes and
         // install them afterwards (the install bumps the generation,
@@ -265,7 +244,7 @@ impl TprTree {
     }
 
     /// Counters of the decoded-node cache, with this tree's page-format
-    /// counters (zero-copy reads / decode fallbacks) folded in; `None`
+    /// counter (zero-copy reads) folded in; `None`
     /// when the cache is disabled (`node_cache_capacity == 0`).
     #[must_use]
     pub fn node_cache_stats(&self) -> Option<CacheSnapshot> {
@@ -280,19 +259,11 @@ impl TprTree {
         self.cache.is_some()
     }
 
-    /// Page-format counters alone (zero-copy SoA reads vs legacy decode
-    /// fallbacks), available regardless of cache configuration.
+    /// Page-format counters alone (zero-copy SoA reads), available
+    /// regardless of cache configuration.
     #[must_use]
     pub fn page_format_stats(&self) -> CacheSnapshot {
         self.format_stats.snapshot()
-    }
-
-    /// Switches the page encoding used for subsequent node writes (see
-    /// [`TreeConfig::legacy_pages`]). Flipping a legacy tree to `false`
-    /// is the migration path: reads accept both formats, and every node
-    /// rewrite upgrades its page to v2 in place.
-    pub fn set_legacy_pages(&mut self, legacy: bool) {
-        self.config.legacy_pages = legacy;
     }
 
     /// Drops every cached decoded node (counters are kept). No-op when

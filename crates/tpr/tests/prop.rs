@@ -5,8 +5,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cij_geom::{MovingRect, Rect};
-use cij_storage::{BufferPool, BufferPoolConfig, InMemoryStore, PageId};
-use cij_tpr::{ChildRef, Entry, Node, NodeView, ObjectId, TprTree, TreeConfig};
+use cij_storage::{
+    BufferPool, BufferPoolConfig, InMemoryStore, PageBuf, PageId, StorageError, PAGE_SIZE,
+};
+use cij_tpr::{
+    ChildRef, Entry, Node, NodeView, ObjectId, TprTree, TreeConfig, SOA_MAGIC, SOA_VERSION,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -169,10 +173,10 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Page-format properties: the v2 SoA layout, the legacy v1 layout, and
-// the zero-copy view must all describe the same node — bit for bit, even
-// through NaN and infinite velocities (compared via `to_bits`, since
-// `NaN != NaN` under `PartialEq`).
+// Page-format properties: the SoA page and the zero-copy view must
+// describe the same node — bit for bit, even through NaN and infinite
+// velocities (compared via `to_bits`, since `NaN != NaN` under
+// `PartialEq`) — and hostile bytes must come back as a typed error.
 // ----------------------------------------------------------------------
 
 /// A velocity component: usually finite, sometimes `NaN` or `±∞`.
@@ -254,27 +258,16 @@ fn assert_entries_bit_equal(a: &Node, b: &Node) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Any node decodes bit-identically from its v2 (SoA) and legacy v1
-    /// (AoS) encodings — including NaN / infinite velocities.
-    #[test]
-    fn page_roundtrip_v2_and_legacy_bit_identical(node in arb_node()) {
-        let v2 = node.to_page().unwrap();
-        let v1 = node.to_page_legacy().unwrap();
-        let from_v2 = Node::from_page(&v2).unwrap();
-        let from_v1 = Node::from_page(&v1).unwrap();
-        assert_entries_bit_equal(&node, &from_v2);
-        assert_entries_bit_equal(&node, &from_v1);
-        assert_entries_bit_equal(&from_v2, &from_v1);
-    }
-
-    /// Every `NodeView` accessor agrees bit-for-bit with the decoded
-    /// node: the zero-copy read path and the materializing path are the
-    /// same function of the page bytes.
+    /// Any node round-trips its page bit for bit — NaN / infinite
+    /// velocities included — and every `NodeView` accessor agrees with
+    /// the decoded node: the zero-copy read path and the materializing
+    /// path are the same function of the page bytes.
     #[test]
     fn view_accessors_agree_with_decoded_node(node in arb_node()) {
         let page = node.to_page().unwrap();
-        let view = NodeView::parse(&page).unwrap().expect("v2 page");
+        let view = NodeView::parse(&page).unwrap();
         let decoded = Node::from_page(&page).unwrap();
+        assert_entries_bit_equal(&node, &decoded);
 
         prop_assert_eq!(view.level(), decoded.level);
         prop_assert_eq!(view.len(), decoded.entries.len());
@@ -295,5 +288,88 @@ proptest! {
             }
         }
         assert_entries_bit_equal(&view.to_node(), &decoded);
+    }
+}
+
+/// Parses `page` both ways and checks they agree: either both accept it
+/// (and a re-encode of the decoded node round-trips bit for bit) or both
+/// reject it with the same typed error. A panic anywhere fails the test.
+fn assert_hostile_page_handled(page: &PageBuf) -> Result<Node, StorageError> {
+    let view = NodeView::parse(page);
+    let decoded = Node::from_page(page);
+    match (&view, &decoded) {
+        (Ok(view), Ok(node)) => {
+            assert_entries_bit_equal(&view.to_node(), node);
+            let again = Node::from_page(&node.to_page().unwrap()).unwrap();
+            assert_entries_bit_equal(&again, node);
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+        _ => panic!("NodeView::parse and Node::from_page disagree on a page"),
+    }
+    decoded
+}
+
+fn page_from(bytes: &[u8]) -> PageBuf {
+    let mut page = cij_storage::zeroed_page();
+    page.copy_from_slice(bytes);
+    page
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary page bytes never panic the decoder. Half the pages get a
+    /// valid SoA header and a small entry count so the lane validation
+    /// runs too, not just the magic check.
+    #[test]
+    fn arbitrary_pages_decode_or_error(
+        bytes in proptest::collection::vec(any::<u8>(), PAGE_SIZE..PAGE_SIZE + 1),
+        header in any::<bool>(),
+        count in 0u16..64,
+    ) {
+        let mut page = page_from(&bytes);
+        if header {
+            page[0..2].copy_from_slice(&SOA_MAGIC.to_le_bytes());
+            page[2] = SOA_VERSION;
+            page[3] %= 3;
+            page[4..6].copy_from_slice(&count.to_le_bytes());
+        }
+        let _ = assert_hostile_page_handled(&page);
+    }
+
+    /// A single flipped bit anywhere in a valid page either still decodes
+    /// or is reported as corrupt.
+    #[test]
+    fn bit_flipped_pages_decode_or_error(node in arb_node(), bit in 0..PAGE_SIZE * 8) {
+        let mut page = node.to_page().unwrap();
+        page[bit / 8] ^= 1 << (bit % 8);
+        match assert_hostile_page_handled(&page) {
+            Ok(_) | Err(StorageError::Corrupt(_)) => {}
+            Err(other) => panic!("bit flip surfaced as {other:?}, not Corrupt"),
+        }
+    }
+
+    /// A valid page whose entry count was overwritten either decodes
+    /// (the unused slots are zeroes, which read as valid entries) or is
+    /// rejected — a count past the lanes' slots must never be read.
+    #[test]
+    fn overwritten_count_decodes_or_errors(node in arb_node(), count in 0u16..64) {
+        let mut page = node.to_page().unwrap();
+        page[4..6].copy_from_slice(&count.to_le_bytes());
+        match assert_hostile_page_handled(&page) {
+            Ok(decoded) => prop_assert_eq!(decoded.entries.len(), usize::from(count)),
+            Err(e) => prop_assert!(matches!(e, StorageError::Corrupt(_)), "{e:?}"),
+        }
+    }
+
+    /// A page carrying the retired v1 magic is corrupt, whatever follows.
+    #[test]
+    fn retired_v1_magic_is_corrupt(
+        bytes in proptest::collection::vec(any::<u8>(), PAGE_SIZE..PAGE_SIZE + 1),
+    ) {
+        let mut page = page_from(&bytes);
+        page[0..2].copy_from_slice(&0x5452u16.to_le_bytes());
+        prop_assert!(matches!(NodeView::parse(&page), Err(StorageError::Corrupt(_))));
+        prop_assert!(matches!(Node::from_page(&page), Err(StorageError::Corrupt(_))));
     }
 }

@@ -665,79 +665,3 @@ fn node_cache_hit_equals_fresh_decode() {
     assert_eq!(hot, cold);
     assert_eq!(tree.iter_objects().unwrap().len(), shadow.len());
 }
-
-/// Migration differential: a tree written entirely in the legacy v1 page
-/// encoding answers every query identically to a v2 tree built from the
-/// same operations, with every read served by the legacy decode fallback
-/// — and rewriting nodes under the default config upgrades pages to v2
-/// in place (mixed-format trees stay correct throughout).
-#[test]
-fn legacy_pages_tree_matches_v2_tree_and_upgrades_in_place() {
-    let build = |legacy: bool| {
-        let pool = BufferPool::new(
-            Arc::new(InMemoryStore::new()),
-            BufferPoolConfig::with_capacity(256),
-        );
-        let mut tree = TprTree::new(
-            pool,
-            TreeConfig {
-                capacity: 8,
-                ..TreeConfig::default()
-            }
-            .with_legacy_pages(legacy),
-        );
-        let mut rng = StdRng::seed_from_u64(99);
-        let shadow = fill(&mut tree, &mut rng, 300, 0.0);
-        (tree, shadow)
-    };
-    let (v1_tree, shadow_v1) = build(true);
-    let (v2_tree, shadow_v2) = build(false);
-    assert_eq!(shadow_v1, shadow_v2);
-
-    let w = Rect::new([100.0, 100.0], [900.0, 900.0]);
-    let mut got_v1 = v1_tree.range_at(&w, 15.0).unwrap();
-    let mut got_v2 = v2_tree.range_at(&w, 15.0).unwrap();
-    got_v1.sort();
-    got_v2.sort();
-    assert_eq!(got_v1, got_v2, "page encoding changed query answers");
-
-    let s1 = v1_tree.page_format_stats();
-    assert_eq!(s1.zero_copy_reads, 0, "legacy tree produced v2 pages");
-    assert!(
-        s1.decode_fallbacks > 0,
-        "legacy tree never hit the fallback"
-    );
-    let s2 = v2_tree.page_format_stats();
-    assert_eq!(s2.decode_fallbacks, 0, "v2 tree fell back to legacy decode");
-    assert!(s2.zero_copy_reads > 0, "v2 tree never took the view path");
-
-    // Migration: flip the legacy tree to v2 writes and churn it — every
-    // rewritten node upgrades to v2 in place, reads stay correct on the
-    // mixed tree throughout.
-    let mut migrated = v1_tree;
-    migrated.set_legacy_pages(false);
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut shadow = shadow_v1;
-    for oid in (0..300u64).step_by(3).map(ObjectId) {
-        let old = shadow[&oid];
-        let new = random_object(&mut rng, 1.0);
-        migrated.update(oid, &old, new, 1.0).unwrap();
-        shadow.insert(oid, new);
-    }
-    migrated.validate(1.0).unwrap();
-    let base = migrated.page_format_stats();
-    let mut got = migrated.range_at(&w, 15.0).unwrap();
-    let mut expect: Vec<ObjectId> = shadow
-        .iter()
-        .filter(|(_, m)| m.at(15.0).intersects(&w))
-        .map(|(o, _)| *o)
-        .collect();
-    got.sort();
-    expect.sort();
-    assert_eq!(got, expect, "mixed-format tree answered wrong");
-    let after = migrated.page_format_stats();
-    assert!(
-        after.zero_copy_reads > base.zero_copy_reads,
-        "churned nodes were not upgraded to v2"
-    );
-}
